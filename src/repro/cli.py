@@ -517,9 +517,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-frame delay coin (default 0.05)")
     q.add_argument("--kills", type=int, default=1,
                    help="minimum SIGKILLs the plan must contain "
-                        "(default 1)")
+                        "(default 1; 0 plays no crash or restart)")
     q.add_argument("--partitions", type=int, default=1,
-                   help="minimum live partitions (default 1)")
+                   help="minimum live partitions (default 1; 0 plays "
+                        "no partition or heal)")
     q.add_argument("--trace", action="store_true",
                    help="record end-to-end distributed traces and "
                         "sample exemplars per policy (the slowest, "
@@ -1920,7 +1921,8 @@ def _cmd_bench_compare(args: argparse.Namespace) -> int:
             else f"{row.baseline_median:.6f}",
             "-" if row.current_median is None
             else f"{row.current_median:.6f}",
-            "-" if row.ratio is None else f"{row.ratio:.3f}x",
+            "new" if row.verdict == "only-current"
+            else "-" if row.ratio is None else f"{row.ratio:.3f}x",
         ]
         for row in comparison.rows
     ]

@@ -46,6 +46,10 @@ class AvailableCopy(VotingProtocol):
         return self._current
 
     # ------------------------------------------------------------------
+    def _generation_key(self) -> frozenset[int]:
+        # Verdicts read the current set, never the copies' (o, v, P).
+        return self._current
+
     def evaluate_block(self, view: NetworkView, block: frozenset[int]) -> Verdict:
         reachable = self._replicas.reachable(block)
         if not reachable:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import abc
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, ClassVar, Optional
+from typing import TYPE_CHECKING, ClassVar, Hashable, Optional
 
 from repro.errors import ConfigurationError, ProtocolError, QuorumNotReachedError
 from repro.net.views import NetworkView
@@ -36,6 +36,11 @@ __all__ = [
     "Verdict",
     "VotingProtocol",
 ]
+
+#: Bound on the verdicts kept for one state generation.  Interned views
+#: keep it at one entry per up-set; the bound only matters when views
+#: are built afresh (a point-to-point topology's link flips re-intern).
+_MAX_CACHED_VERDICTS = 4096
 
 
 class OperationKind(enum.Enum):
@@ -133,6 +138,9 @@ class VotingProtocol(abc.ABC):
         self._history: Optional[list["CommitRecord"]] = None
         self._tracer: Optional["Tracer"] = None
         self._profiler = None
+        # The verdicts of one state generation, by view (see evaluate).
+        self._generation: Hashable = None
+        self._verdicts: dict[NetworkView, Verdict] = {}
 
     # ------------------------------------------------------------------
     # structured tracing
@@ -154,9 +162,10 @@ class VotingProtocol(abc.ABC):
         """Attach (or, with ``None``, detach) a
         :class:`~repro.obs.prof.phases.PhaseProfiler`.
 
-        Attached, every quorum evaluation and block test is tallied per
-        policy (``quorum.evaluate.<name>`` / ``quorum.block.<name>``
-        hot-path counters); detached (the default) the availability
+        Attached, every :meth:`evaluate` call is tallied per policy as
+        ``quorum.evaluate.<name>`` (cached verdicts included) and every
+        block test it actually runs as ``quorum.block.<name>`` (so a
+        cache hit adds none); detached (the default) the availability
         probe pays one ``None`` check.  Returns ``self`` for chaining.
         """
         self._profiler = profiler
@@ -293,10 +302,46 @@ class VotingProtocol(abc.ABC):
     def evaluate(self, view: NetworkView) -> Verdict:
         """The verdict for the best block — the paper's single user "can
         access any of the sites", so the file is available if *any* block
-        grants.  Returns the granting verdict, or the last denial."""
+        grants.  Returns the granting verdict, or the last denial.
+
+        A verdict is a pure function of the view and the state
+        :meth:`_generation_key` captures, so the verdicts of one
+        generation are kept by view and a repeated call is a dict hit.
+        A new generation clears them; none is ever revisited, because
+        operation numbers only grow.  With a tracer attached every call
+        runs the block tests, so each one still emits its decision
+        records.
+        """
         profiler = self._profiler
         if profiler is not None:
             profiler.count(f"quorum.evaluate.{self.name}")
+        if self._tracer is not None:
+            return self._evaluate_blocks(view)
+        verdicts = self._verdicts
+        generation = self._generation_key()
+        if generation != self._generation:
+            self._generation = generation
+            verdicts.clear()
+        else:
+            verdict = verdicts.get(view)
+            if verdict is not None:
+                return verdict
+            if len(verdicts) >= _MAX_CACHED_VERDICTS:
+                verdicts.clear()
+        verdict = verdicts[view] = self._evaluate_blocks(view)
+        return verdict
+
+    def _generation_key(self) -> Hashable:
+        """All mutable state :meth:`evaluate_block` reads, as a value.
+
+        The copies' ``(o, v, P)`` triples.  A subclass whose verdicts
+        also read state of its own must return that state too.
+        """
+        return self._replicas.snapshot()
+
+    def _evaluate_blocks(self, view: NetworkView) -> Verdict:
+        """:meth:`evaluate` without the cache."""
+        profiler = self._profiler
         denial: Optional[Verdict] = None
         copies = self._replicas.copy_sites
         for block in view.blocks:

@@ -87,6 +87,11 @@ class CardinalityDynamicVoting(VotingProtocol):
         return (state.version, state.cardinality)
 
     # ------------------------------------------------------------------
+    def _generation_key(self) -> tuple[tuple[int, int], ...]:
+        # Verdicts read only the private (VN, SC) integers.
+        return tuple([(c.version, c.cardinality)
+                      for c in self._cards.values()])
+
     def evaluate_block(self, view: NetworkView, block: frozenset[int]) -> Verdict:
         reachable = frozenset(self._cards) & block
         if not reachable:

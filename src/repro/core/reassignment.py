@@ -110,6 +110,11 @@ class VoteReassignmentVoting(VotingProtocol):
         return (state.assignment, dict(state.weights))
 
     # ------------------------------------------------------------------
+    def _generation_key(self) -> tuple:
+        # Verdicts read only the private assignment states.
+        return tuple([(s.assignment, s.version, tuple(s.weights.items()))
+                      for s in self._states.values()])
+
     def evaluate_block(self, view: NetworkView, block: frozenset[int]) -> Verdict:
         reachable = frozenset(self._states) & block
         if not reachable:

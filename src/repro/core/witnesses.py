@@ -68,6 +68,10 @@ class DynamicVotingWithWitnesses(DynamicVotingFamily):
         return self.full_sites
 
     # ------------------------------------------------------------------
+    def _generation_key(self) -> tuple:
+        # Promotion and demotion change which copies hold data.
+        return (super()._generation_key(), self._witnesses)
+
     def evaluate_block(self, view: NetworkView, block: frozenset[int]) -> Verdict:
         verdict = super().evaluate_block(view, block)
         if not verdict.granted:

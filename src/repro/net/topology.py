@@ -33,6 +33,11 @@ __all__ = [
     "single_segment",
 ]
 
+#: Bound on the interned views of one topology: one per up-set, so a
+#: topology of n sites holds at most 2**n; past the bound the table
+#: starts afresh.
+_MAX_INTERNED_VIEWS = 4096
+
 
 class Topology(abc.ABC):
     """Abstract network: a set of sites plus a partition oracle."""
@@ -45,6 +50,8 @@ class Topology(abc.ABC):
             raise TopologyError(f"duplicate site ids in {ids}")
         self._sites = {s.id: s for s in sites}
         self._ranks = {s.id: s.rank for s in sites}
+        # The interned views, by up-set (see view).
+        self._views: dict[frozenset[int], NetworkView] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -99,10 +106,22 @@ class Topology(abc.ABC):
         return self.segment_of(a) == self.segment_of(b)
 
     def view(self, up: AbstractSet[int]) -> NetworkView:
-        """Snapshot the network with exactly the sites in *up* operational."""
+        """Snapshot the network with exactly the sites in *up* operational.
+
+        Views are interned: while the blocks of an up-set cannot change,
+        every call with that up-set returns the same object, so callers
+        (such as :meth:`VotingProtocol.evaluate`) can key on it.  A
+        topology whose blocks depend on more than the up-set clears the
+        interned views whenever that other state changes.
+        """
         up = frozenset(up)
-        self._check_known(up)
-        return NetworkView(self, up, self.blocks(up))
+        view = self._views.get(up)
+        if view is None:
+            self._check_known(up)
+            if len(self._views) >= _MAX_INTERNED_VIEWS:
+                self._views.clear()
+            view = self._views[up] = NetworkView(self, up, self.blocks(up))
+        return view
 
 
 class SegmentedTopology(Topology):
@@ -269,10 +288,12 @@ class PointToPointTopology(Topology):
     def fail_link(self, a: int, b: int) -> None:
         """Mark the link between *a* and *b* as down."""
         self._failed.add(self._edge(a, b))
+        self._views.clear()
 
     def repair_link(self, a: int, b: int) -> None:
         """Bring the link between *a* and *b* back up."""
         self._failed.discard(self._edge(a, b))
+        self._views.clear()
 
     def segment_of(self, site_id: int) -> str:
         self.site(site_id)

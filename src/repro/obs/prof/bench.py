@@ -123,6 +123,16 @@ def _quick_trace_generation() -> int:
     return len(generate_trace(testbed_profiles(), 1460.0, seed=1))
 
 
+def _quick_study_cell() -> float:
+    """One seeded study cell end to end: trace, accesses and replay."""
+    from repro.experiments.configs import CONFIGURATIONS
+    from repro.experiments.runner import StudyParameters, run_cell
+
+    params = StudyParameters(horizon=4000.0, warmup=360.0, batches=4,
+                             seed=1988)
+    return run_cell(CONFIGURATIONS["F"], "ODV", params).result.unavailability
+
+
 #: The pinned micro subset behind ``repro bench record --quick``.
 #: Names are stable identifiers — comparisons key on them.
 QUICK_WORKLOADS: dict[str, Callable[[], Any]] = {
@@ -130,6 +140,7 @@ QUICK_WORKLOADS: dict[str, Callable[[], Any]] = {
     "micro/partition_oracle": _quick_partition_oracle,
     "micro/quorum_evaluation": _quick_quorum_evaluation,
     "micro/trace_generation": _quick_trace_generation,
+    "micro/study_cell": _quick_study_cell,
 }
 
 

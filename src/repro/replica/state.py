@@ -241,6 +241,15 @@ class ReplicaSet:
         top = max(self._states[s].version for s in sites)
         return frozenset(s for s in sites if self._states[s].version == top)
 
+    def snapshot(self) -> tuple[tuple[int, int, frozenset[int]], ...]:
+        """Every copy's ``(o, v, P)`` triple, in site order, as one value.
+
+        Two snapshots are equal exactly when no copy's state differs.
+        """
+        # Inlined ReplicaState.snapshot: every quorum probe builds one.
+        return tuple([(s._operation, s._version, s._partition_set)
+                      for s in self._states.values()])
+
     def as_mapping(self) -> Mapping[int, tuple[int, int, frozenset[int]]]:
         """Snapshot of every copy's ``(o, v, P)`` triple, keyed by site id."""
         return {sid: st.snapshot() for sid, st in self._states.items()}

@@ -17,7 +17,8 @@ translation deterministically — same seed, same plan:
 
 :func:`ensure_minimums` tops a plan up with a deterministic kill and a
 deterministic partition when the seeded schedule happened to contain
-too few — the bench's acceptance gate requires at least one of each.
+too few — the bench's acceptance gate requires at least one of each by
+default — and strips a fault kind whose quota is zero.
 """
 
 from __future__ import annotations
@@ -137,17 +138,29 @@ def ensure_minimums(
     min_kills: int = 1,
     min_partitions: int = 1,
 ) -> list[FaultEvent]:
-    """Guarantee the plan contains the acceptance gate's fault quota.
+    """Fit the plan to the acceptance gate's fault quota.
 
     Appends deterministic kills (highest site first, restarted before
     the recovery grace) and a deterministic majority/minority split
     until the plan holds at least *min_kills* crashes and
-    *min_partitions* partitions.
+    *min_partitions* partitions.  A zero quota means none of that kind:
+    ``min_kills=0`` removes every crash and restart, and
+    ``min_partitions=0`` every partition and heal.
     """
     sites = sorted(sites)
     if len(sites) < 2:
         raise ConfigurationError("a fault plan needs >= 2 sites")
-    out = list(events)
+    if min_kills < 0 or min_partitions < 0:
+        raise ConfigurationError(
+            f"fault quotas must be >= 0, got {min_kills} kill(s) and "
+            f"{min_partitions} partition(s)"
+        )
+    stripped = set()
+    if min_kills == 0:
+        stripped |= {"crash", "restart"}
+    if min_partitions == 0:
+        stripped |= {"partition", "heal"}
+    out = [event for event in events if event.verb not in stripped]
     kills = sum(1 for event in out if event.verb == "crash")
     partitions = sum(1 for event in out if event.verb == "partition")
     extra = 0

@@ -6,7 +6,11 @@ import pytest
 from repro.core.base import Verdict
 from repro.core.lexicographic import LexicographicDynamicVoting
 from repro.errors import ConfigurationError, ProtocolError, QuorumNotReachedError
+from repro.experiments.configs import CONFIGURATIONS
+from repro.experiments.runner import StudyParameters, run_cell
 from repro.net.topology import single_segment
+from repro.obs.prof.phases import PhaseProfiler
+from repro.obs.tracer import MemorySink, Tracer
 from repro.replica.state import ReplicaSet
 
 
@@ -61,6 +65,45 @@ class TestEvaluate:
         protocol = LexicographicDynamicVoting(ReplicaSet({1, 2, 3}))
         assert len(protocol.granting_blocks(lan4.view({1, 2, 3}))) == 1
         assert protocol.granting_blocks(lan4.view({4})) == ()
+
+
+class TestVerdictCache:
+    def test_repeated_evaluate_returns_the_cached_verdict(self, lan4):
+        protocol = LexicographicDynamicVoting(ReplicaSet({1, 2, 3}))
+        view = lan4.view({1, 2, 3})
+        assert protocol.evaluate(view) is protocol.evaluate(view)
+
+    def test_profiler_counts_every_call_and_only_run_block_tests(self, lan4):
+        profiler = PhaseProfiler()
+        protocol = LexicographicDynamicVoting(ReplicaSet({1, 2, 3}))
+        protocol.attach_profiler(profiler)
+        view = lan4.view({1, 2, 3})
+        for _ in range(3):
+            protocol.evaluate(view)
+        counters = profiler.to_dict()["counters"]
+        assert counters["quorum.evaluate.LDV"] == 3
+        assert counters["quorum.block.LDV"] == 1
+
+    def test_tracer_skips_the_cache(self, lan4):
+        sink = MemorySink()
+        protocol = LexicographicDynamicVoting(ReplicaSet({1, 2, 3}))
+        protocol.attach_tracer(Tracer(sink))
+        view = lan4.view({1, 2, 3})
+        for _ in range(3):
+            protocol.evaluate(view)
+        assert len(sink.of_kind("quorum.granted")) == 3
+
+    @pytest.mark.parametrize("policy, records", [
+        ("MCV", 618), ("LDV", 1789), ("ODV", 3761), ("OTDV", 4011)])
+    def test_traced_cell_emits_every_decision_record(self, policy, records):
+        """A traced study cell records as many decisions as it did
+        before evaluate kept verdicts (counts pinned from that code)."""
+        sink = MemorySink(capacity=100_000)
+        run_cell(CONFIGURATIONS["F"], policy,
+                 StudyParameters(horizon=1200.0, warmup=360.0, batches=4,
+                                 seed=7),
+                 extra_sinks=[sink])
+        assert sink.emitted == records
 
 
 class TestOperationsFromBadSites:

@@ -569,6 +569,23 @@ class TestBench:
         assert "REGRESSION" in out
         assert "2.00x" in out
 
+    def test_compare_reports_a_workload_missing_from_the_baseline(
+            self, capsys, tmp_path):
+        import json
+
+        assert self._record_quick(tmp_path) == 0
+        current = tmp_path / "BENCH_0.json"
+        older = json.loads(current.read_text())
+        older["benchmarks"] = [b for b in older["benchmarks"]
+                               if b["name"] != "micro/study_cell"]
+        older_path = tmp_path / "older.json"
+        older_path.write_text(json.dumps(older))
+        assert main(["bench", "compare", str(current),
+                     "--baseline", str(older_path)]) == 0
+        row = next(line for line in capsys.readouterr().out.splitlines()
+                   if "micro/study_cell" in line)
+        assert "only-current" in row and "new" in row
+
     def test_compare_mismatched_fingerprint(self, capsys, tmp_path):
         import json
 

@@ -81,6 +81,19 @@ class TestBlocks:
         assert set(blocks) == {frozenset({1}), frozenset({2})}
 
 
+class TestViewInterning:
+    def test_link_changes_replace_the_interned_views(self):
+        topo = _line(3)
+        whole = topo.view({1, 2, 3})
+        assert topo.view({1, 2, 3}) is whole
+        topo.fail_link(2, 3)
+        split = topo.view({1, 2, 3})
+        assert split.blocks == (frozenset({1, 2}), frozenset({3}))
+        assert whole.blocks == (frozenset({1, 2, 3}),)
+        topo.repair_link(2, 3)
+        assert topo.view({1, 2, 3}).blocks == whole.blocks
+
+
 class TestSegmentSemantics:
     def test_each_site_is_its_own_segment(self):
         """Point-to-point sites can always be separated, so topological

@@ -54,3 +54,14 @@ class TestViewQueries:
         after = testbed.view(frozenset(range(1, 9)) - {4})
         assert before.is_up(4)
         assert not after.is_up(4)
+
+
+class TestInterning:
+    def test_one_view_per_up_set(self, testbed):
+        view = testbed.view({1, 2, 6})
+        assert testbed.view(frozenset({6, 2, 1})) is view
+        assert testbed.view({1, 2}) is not view
+
+    def test_unknown_site_still_rejected(self, testbed):
+        with pytest.raises(UnknownSiteError):
+            testbed.view({1, 99})

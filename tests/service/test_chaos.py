@@ -89,6 +89,27 @@ class TestEnsureMinimums:
         with pytest.raises(ConfigurationError):
             ensure_minimums([], [1], 10.0)
 
+    def test_zero_quotas_strip_the_seeded_faults(self):
+        seeded = live_plan_from_schedule(_schedule(), 10.0)
+        assert {"crash", "restart", "partition", "heal"} <= {
+            e.verb for e in seeded}
+        verbs = {e.verb for e in ensure_minimums(
+            seeded, SITES, 10.0, min_kills=0, min_partitions=0)}
+        assert verbs == {"drop", "delay"}
+        no_kills = ensure_minimums(seeded, SITES, 10.0, min_kills=0)
+        assert not {"crash", "restart"} & {e.verb for e in no_kills}
+        assert [e for e in no_kills if e.verb in ("partition", "heal")] \
+            == [e for e in seeded if e.verb in ("partition", "heal")]
+        no_partitions = ensure_minimums(seeded, SITES, 10.0,
+                                        min_partitions=0)
+        assert not {"partition", "heal"} & {e.verb for e in no_partitions}
+        assert [e for e in no_partitions if e.verb in ("crash", "restart")] \
+            == [e for e in seeded if e.verb in ("crash", "restart")]
+
+    def test_negative_quota_rejected(self):
+        with pytest.raises(ConfigurationError):
+            ensure_minimums([], SITES, 10.0, min_kills=-1)
+
 
 class _FakeSupervisor:
     def __init__(self):
